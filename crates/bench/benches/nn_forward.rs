@@ -2,7 +2,7 @@
 //! unit of work every inference fault campaign multiplies).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use navft_nn::{mlp, C3f2Config, ForwardTrace, NoHooks, Scratch, Tensor};
+use navft_nn::{mlp, C3f2Config, EngineConfig, ForwardTrace, NoHooks, Scratch, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -36,9 +36,9 @@ fn bench(c: &mut Criterion) {
         let x = Tensor::full(&config.input_shape(), 0.3);
         let mut trace = ForwardTrace::new();
         b.iter(|| {
-            net.forward_traced_into(&x, &mut trace);
+            net.forward_traced_into(&x, &mut trace, EngineConfig::default());
             let grad = vec![0.01f32; 25];
-            net.backward_tail(&trace, &grad, 0.001, config.first_fc_layer())
+            net.backward_tail(&mut trace, &grad, 0.001, config.first_fc_layer())
         });
     });
     group.finish();

@@ -16,7 +16,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use navft_dronesim::{ActionSpace, DepthCamera, DroneSim, DroneWorld};
-use navft_nn::{C3f2Config, ForwardTrace, Network, Tensor};
+use navft_nn::{C3f2Config, EngineConfig, ForwardTrace, Network, Tensor};
 use navft_rl::{DqnAgent, DqnConfig, EpsilonSchedule, VisionEnvironment};
 
 use crate::DroneParams;
@@ -108,14 +108,14 @@ pub fn train_drone_policy(world: &DroneWorld, params: &DroneParams, seed: u64) -
 
     let trainable_from = config.first_fc_layer();
     let lr = 0.02;
-    // One trace and one gradient buffer serve every SGD step of the cloning
-    // run — the traced pass overwrites them in place instead of reallocating
-    // the per-layer activations.
+    // One trace and one output-gradient buffer serve every SGD step of the
+    // cloning run: the traced pass and the backward pass overwrite them in
+    // place, so no step allocates.
     let mut trace = ForwardTrace::new();
     let mut grad = Vec::new();
     for _epoch in 0..params.clone_sgd_epochs {
         for (frame, action) in &dataset {
-            network.forward_traced_into(frame, &mut trace);
+            network.forward_traced_into(frame, &mut trace, EngineConfig::default());
             let output = trace.output().data();
             // Regression targets: 1 for the pilot's action, 0 elsewhere.
             grad.clear();
@@ -123,7 +123,7 @@ pub fn train_drone_policy(world: &DroneWorld, params: &DroneParams, seed: u64) -
                 let target = if i == *action { 1.0 } else { 0.0 };
                 2.0 * (q - target) / output.len() as f32
             }));
-            network.backward_tail(&trace, &grad, lr, trainable_from);
+            network.backward_tail(&mut trace, &grad, lr, trainable_from);
         }
     }
     network.quantize_weights(navft_qformat::QFormat::Q4_11);

@@ -58,8 +58,6 @@ pub fn measure_overhead(
     // warm-up passes take slab growth out of the timed region (the slabs swap
     // roles per layer sweep, so both reach their high-water mark only on the
     // second pass when the sweep count is odd).
-    // An explicit engine config keeps the measurement independent of the
-    // deprecated process-wide kernel knobs.
     let engine = EngineConfig::default();
     let mut scratch = Scratch::new();
     std::hint::black_box(network.forward_scratch_cfg(input, &mut scratch, &mut NoHooks, engine));

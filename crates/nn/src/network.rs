@@ -297,13 +297,20 @@ impl ForwardHooks for RangeRecorder {
 /// A record of every intermediate activation of a forward pass, used for
 /// training.
 ///
-/// A trace can be reused across passes through
-/// [`Network::forward_traced_into`], which overwrites the recorded tensors in
-/// place instead of reallocating them.
+/// A trace is the whole workspace of one SGD step: besides the recorded
+/// activations it owns the single-row engine [`Scratch`] the traced pass
+/// runs through and the two gradient buffers [`Network::backward_tail`]
+/// ping-pongs between. Reused across steps through
+/// [`Network::forward_traced_into`], it overwrites everything in place, so a
+/// warm forward + backward step performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardTrace {
     /// `values[0]` is the input; `values[i + 1]` is the output of layer `i`.
     pub values: Vec<Tensor>,
+    scratch: Scratch,
+    shape: Vec<usize>,
+    grad: Vec<f32>,
+    input_grad: Vec<f32>,
 }
 
 impl ForwardTrace {
@@ -565,9 +572,9 @@ impl<E: Element> NetworkBase<E> {
     /// resets to zero rows, no kernel runs and no hook fires — a batcher
     /// flushing an empty queue costs nothing.
     ///
-    /// Engine settings (worker threads, scalar-kernel pin) come from the
-    /// process-wide compat knobs; [`NetworkBase::forward_batch_into_cfg`]
-    /// takes an explicit [`EngineConfig`] instead.
+    /// Runs under [`EngineConfig::default`];
+    /// [`NetworkBase::forward_batch_into_cfg`] takes an explicit
+    /// [`EngineConfig`] instead.
     ///
     /// # Panics
     ///
@@ -729,9 +736,9 @@ impl<E: Element> NetworkBase<E> {
     }
 
     /// [`NetworkBase::forward_scratch`] with an explicit, caller-owned
-    /// [`EngineConfig`] instead of the process-wide compat knobs — the
-    /// single-sample twin of [`NetworkBase::forward_batch_into_cfg`].
-    /// Results are bit-identical under any config.
+    /// [`EngineConfig`] instead of the default — the single-sample twin of
+    /// [`NetworkBase::forward_batch_into_cfg`]. Results are bit-identical
+    /// under any config.
     pub fn forward_scratch_cfg<'s, H: HooksFor<E> + ?Sized>(
         &self,
         input: &TensorBase<E>,
@@ -825,40 +832,48 @@ impl Network {
     /// [`Network::backward_tail`]).
     pub fn forward_traced(&self, input: &Tensor) -> ForwardTrace {
         let mut trace = ForwardTrace::new();
-        self.forward_traced_into(input, &mut trace);
+        self.forward_traced_into(input, &mut trace, EngineConfig::default());
         trace
     }
 
     /// Runs a forward pass recording every intermediate activation into a
-    /// reusable `trace`, overwriting the recorded tensors in place. After the
-    /// first call with a given topology, subsequent calls reuse every
-    /// activation buffer (no per-layer allocations), which is what makes
-    /// replay-heavy DQN training cheap.
-    pub fn forward_traced_into(&self, input: &Tensor, trace: &mut ForwardTrace) {
+    /// reusable `trace`, overwriting the recorded tensors in place.
+    ///
+    /// The pass is one row of the blocked GEMM engine that batched inference
+    /// runs under `config`, staged in the trace's own scratch; every layer's
+    /// output is copied into `trace.values[i + 1]`. Unlike the inference
+    /// entry points it does **not** quantize activations to the network's
+    /// [`Network::activation_format`]: the trace records the float values
+    /// the gradient is taken at. After the first call with a given topology
+    /// no call allocates.
+    pub fn forward_traced_into(
+        &self,
+        input: &Tensor,
+        trace: &mut ForwardTrace,
+        config: EngineConfig,
+    ) {
         if trace.values.len() != self.layers.len() + 1 {
             trace.values.resize(self.layers.len() + 1, Tensor::zeros(&[1]));
         }
         trace.values[0].assign(input.shape(), input.data());
-        let mut shape = Vec::with_capacity(4);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (head, tail) = trace.values.split_at_mut(i + 1);
-            let previous = &head[i];
-            let current = &mut tail[0];
-            match layer {
-                Layer::Relu => {
-                    current.assign(previous.shape(), previous.data());
-                    Layer::relu_in_place(current.data_mut());
+        let ForwardTrace { values, scratch, shape, .. } = trace;
+        let layers = &self.layers;
+        crate::engine::forward_batch_engine(
+            layers,
+            (),
+            input.shape(),
+            std::iter::once(input.data()),
+            scratch,
+            KernelPath::Blocked,
+            config,
+            |event, row| {
+                if let SweepEvent::Activation { layer, .. } = event {
+                    let (head, tail) = values.split_at_mut(layer + 1);
+                    layers[layer].output_shape(head[layer].shape(), shape);
+                    tail[0].assign(shape, row);
                 }
-                Layer::Flatten => {
-                    current.assign(&[previous.len()], previous.data());
-                }
-                _ => {
-                    layer.output_shape(previous.shape(), &mut shape);
-                    current.resize_to(&shape);
-                    layer.forward_into(previous.data(), previous.shape(), current.data_mut());
-                }
-            }
-        }
+            },
+        );
     }
 
     /// Back-propagates `output_grad` through the trailing run of
@@ -873,13 +888,21 @@ impl Network {
     ///
     /// Returns the number of parametric layers that were updated.
     ///
+    /// Back-propagation stops at the lowest trainable `Linear` layer (or at
+    /// the first convolution or pooling layer from the top), and that
+    /// layer's input gradient is never formed: nothing below reads it. Each
+    /// weight row takes two passes — the input gradient over the old
+    /// weights, then the update with `lr · g` hoisted — which is the
+    /// per-element arithmetic of a fused loop, bit for bit. The gradients
+    /// live in `trace`'s reusable buffers, so a warm call allocates nothing.
+    ///
     /// # Panics
     ///
     /// Panics if `output_grad` does not match the network output length or
     /// the trace was produced by a different topology.
     pub fn backward_tail(
         &mut self,
-        trace: &ForwardTrace,
+        trace: &mut ForwardTrace,
         output_grad: &[f32],
         lr: f32,
         trainable_from: usize,
@@ -890,48 +913,57 @@ impl Network {
             "trace does not match network topology"
         );
         assert_eq!(output_grad.len(), trace.output().len(), "output gradient length mismatch");
-        let mut grad = output_grad.to_vec();
+        let mut lowest = None;
+        for (index, layer) in self.layers.iter().enumerate().rev() {
+            match layer {
+                Layer::Linear(_) if index >= trainable_from => lowest = Some(index),
+                // The frozen feature extractor: back-propagation stops here.
+                Layer::Conv2d(_) | Layer::MaxPool2d(_) => break,
+                _ => {}
+            }
+        }
+        let Some(lowest) = lowest else { return 0 };
+
+        let ForwardTrace { values, grad, input_grad, .. } = trace;
+        grad.clear();
+        grad.extend_from_slice(output_grad);
         let mut updated = 0;
-        for index in (0..self.layers.len()).rev() {
-            let input = &trace.values[index];
+        for index in (lowest..self.layers.len()).rev() {
+            let input = values[index].data();
             match &mut self.layers[index] {
                 Layer::Linear(linear) => {
-                    let x = input.data();
-                    let mut input_grad = vec![0.0f32; linear.in_features];
-                    for (o, &g) in grad.iter().enumerate().take(linear.out_features) {
-                        let row_start = o * linear.in_features;
-                        if index >= trainable_from {
-                            linear.bias[o] -= lr * g;
-                        }
-                        for j in 0..linear.in_features {
-                            input_grad[j] += linear.weights[row_start + j] * g;
-                            if index >= trainable_from {
-                                linear.weights[row_start + j] -= lr * g * x[j];
+                    let propagate = index > lowest;
+                    if propagate {
+                        input_grad.clear();
+                        input_grad.resize(linear.in_features, 0.0);
+                    }
+                    let k = linear.in_features;
+                    for (o, (bias, &g)) in linear.bias.iter_mut().zip(grad.iter()).enumerate() {
+                        let row = &mut linear.weights[o * k..(o + 1) * k];
+                        if propagate {
+                            for (ig, &w) in input_grad.iter_mut().zip(row.iter()) {
+                                *ig += w * g;
                             }
                         }
+                        let step = lr * g;
+                        *bias -= step;
+                        for (w, &x) in row.iter_mut().zip(input) {
+                            *w -= step * x;
+                        }
                     }
-                    if index >= trainable_from {
-                        updated += 1;
-                    }
-                    grad = input_grad;
+                    updated += 1;
+                    std::mem::swap(grad, input_grad);
                 }
                 Layer::Relu => {
-                    for (g, &x) in grad.iter_mut().zip(input.data().iter()) {
+                    for (g, &x) in grad.iter_mut().zip(input) {
                         if x <= 0.0 {
                             *g = 0.0;
                         }
                     }
                 }
-                Layer::Flatten => {
-                    // Shape-only change: the gradient passes through unchanged.
-                }
-                Layer::Conv2d(_) | Layer::MaxPool2d(_) => {
-                    // The frozen feature extractor: stop back-propagation here.
-                    break;
-                }
-            }
-            if index == 0 {
-                break;
+                // Shape-only change: the gradient passes through unchanged.
+                // (No convolution or pooling layer lies above `lowest`.)
+                Layer::Flatten | Layer::Conv2d(_) | Layer::MaxPool2d(_) => {}
             }
         }
         updated
@@ -1079,11 +1111,11 @@ mod tests {
         };
         let before = loss(&net);
         for _ in 0..200 {
-            let trace = net.forward_traced(&x);
+            let mut trace = net.forward_traced(&x);
             let out = trace.output().data().to_vec();
             let grad: Vec<f32> =
                 out.iter().zip(target.iter()).map(|(o, t)| 2.0 * (o - t)).collect();
-            let updated = net.backward_tail(&trace, &grad, 0.05, 0);
+            let updated = net.backward_tail(&mut trace, &grad, 0.05, 0);
             assert_eq!(updated, 2);
         }
         let after = loss(&net);
@@ -1097,9 +1129,9 @@ mod tests {
         let last_linear = net.parametric_layers()[1];
         let frozen_before = net.layer_weights(first_linear).expect("weights").to_vec();
         let x = Tensor::from_vec(&[3], vec![0.5, -0.5, 1.0]);
-        let trace = net.forward_traced(&x);
+        let mut trace = net.forward_traced(&x);
         let grad = vec![1.0f32; 2];
-        let updated = net.backward_tail(&trace, &grad, 0.1, last_linear);
+        let updated = net.backward_tail(&mut trace, &grad, 0.1, last_linear);
         assert_eq!(updated, 1);
         assert_eq!(net.layer_weights(first_linear).expect("weights"), frozen_before.as_slice());
     }
@@ -1117,8 +1149,8 @@ mod tests {
             Layer::Linear(Linear::new(2, 2, &mut rng)),
         ]);
         let x = Tensor::full(&[1, 2, 2], 0.5);
-        let trace = net.forward_traced(&x);
-        let updated = net.backward_tail(&trace, &[0.5, -0.5], 0.1, 0);
+        let mut trace = net.forward_traced(&x);
+        let updated = net.backward_tail(&mut trace, &[0.5, -0.5], 0.1, 0);
         assert_eq!(updated, 1);
         assert_eq!(net.layer_weights(0).expect("conv weights"), conv_weights.as_slice());
     }
@@ -1262,14 +1294,14 @@ mod tests {
         let a = Tensor::from_vec(&[3], vec![0.3, -0.6, 0.9]);
         let b = Tensor::from_vec(&[3], vec![-0.2, 0.4, 0.1]);
         let mut trace = ForwardTrace::new();
-        net.forward_traced_into(&a, &mut trace);
+        net.forward_traced_into(&a, &mut trace, EngineConfig::default());
         let fresh = net.forward_traced(&a);
         assert_eq!(trace.values.len(), fresh.values.len());
         for (reused, one_shot) in trace.values.iter().zip(fresh.values.iter()) {
             assert_eq!(reused.data(), one_shot.data());
         }
         // Refill with a different input: previous values are fully replaced.
-        net.forward_traced_into(&b, &mut trace);
+        net.forward_traced_into(&b, &mut trace, EngineConfig::default());
         assert_eq!(trace.output().data(), net.forward_traced(&b).output().data());
     }
 

@@ -9,7 +9,7 @@
 //!
 //! Both knobs are carried by an explicit per-call [`EngineConfig`], so the
 //! tests need no process-global serialization; one final test pins that the
-//! deprecated process-wide compat shims still route into the same engine.
+//! plain (non-`_cfg`) entry points run under the default config.
 
 use navft_nn::{
     c3f2_scaled, mlp, simd_kernel_name, Element, EngineConfig, I8Affine, I8Network, I8Scratch,

@@ -72,9 +72,8 @@ pub struct DqnAgent {
     online: Network,
     target: Network,
     config: DqnConfig,
-    // The engine settings every internal forward pass runs under. Explicit
-    // and per-agent, so agents never observe the deprecated process-wide
-    // kernel knobs.
+    // The engine settings every internal forward pass runs under, the
+    // learning step's traced passes included.
     engine: EngineConfig,
     /// The exploration schedule (public so the training-time mitigation can
     /// adjust it).
@@ -82,9 +81,12 @@ pub struct DqnAgent {
     replay: ReplayBuffer,
     input_shape: Vec<usize>,
     episodes_since_sync: usize,
-    // Preallocated learning-step workspace: the batched bootstrap sweep and
-    // the per-transition traced pass reuse these across learn() calls, so a
-    // warm learning step performs no per-transition heap allocation.
+    // Preallocated learning-step workspace: the sampled replay indices, the
+    // batched bootstrap sweep and the per-transition traced forward and
+    // backward passes reuse these across learn() calls, so a warm
+    // observe + learn step performs no heap allocation at all (pinned by the
+    // counting-allocator test).
+    batch: Vec<usize>,
     scratch: Scratch,
     trace: ForwardTrace,
     next_batch: Vec<Tensor>,
@@ -118,6 +120,7 @@ impl DqnAgent {
             epsilon,
             input_shape: input_shape.to_vec(),
             episodes_since_sync: 0,
+            batch: Vec::new(),
             scratch: Scratch::new(),
             trace: ForwardTrace::new(),
             next_batch: Vec::new(),
@@ -296,10 +299,10 @@ impl DqnAgent {
         terminal: bool,
     ) {
         self.replay.push(Transition {
-            state: state.data().to_vec(),
+            state: state.data(),
             action,
             reward,
-            next_state: next_state.data().to_vec(),
+            next_state: next_state.data(),
             terminal,
         });
     }
@@ -316,26 +319,33 @@ impl DqnAgent {
     /// Double DQN the online network's action selection still runs per
     /// transition, because the online weights evolve within the loop; it
     /// reuses the agent's scratch instead of allocating.
+    ///
+    /// The minibatch is drawn as replay indices (the RNG draws of
+    /// [`ReplayBuffer::sample`]) and every transition is read in place. The
+    /// traced forward pass runs one row of the same blocked engine as
+    /// inference under the agent's [`EngineConfig`], and the backward pass
+    /// reuses the trace's gradient buffers.
     pub fn learn<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.replay.len() < self.config.batch_size {
             return;
         }
-        let batch: Vec<Transition> =
-            self.replay.sample(self.config.batch_size, rng).into_iter().cloned().collect();
+        self.replay.sample_indices(self.config.batch_size, rng, &mut self.batch);
+        let replay = &self.replay;
+        let batch = self.batch.iter().map(|&index| replay.get(index));
         let lr = self.config.learning_rate / self.config.batch_size as f32;
 
         // Batched bootstrap: target Q-values of every next state in one
         // layer-sweeping pass through the preallocated scratch — on the int8
         // target snapshot when enabled, the f32 target network otherwise.
-        let rows = batch.len();
+        let rows = self.batch.len();
         let actions = if let Some(i8net) = self.i8_target.as_ref() {
             while self.i8_next_batch.len() < rows {
                 self.i8_next_batch
                     .push(<i8 as EvalElement>::input_buffer(&self.input_shape, i8net));
             }
             self.i8_next_batch.truncate(rows);
-            for (slot, transition) in self.i8_next_batch.iter_mut().zip(batch.iter()) {
-                self.state_buf.assign(&self.input_shape, &transition.next_state);
+            for (slot, transition) in self.i8_next_batch.iter_mut().zip(batch.clone()) {
+                self.state_buf.assign(&self.input_shape, transition.next_state);
                 <i8 as EvalElement>::encode_into(&self.state_buf, slot);
             }
             i8net.forward_batch_into_cfg(
@@ -357,8 +367,8 @@ impl DqnAgent {
                 self.next_batch.push(Tensor::zeros(&[1]));
             }
             self.next_batch.truncate(rows);
-            for (slot, transition) in self.next_batch.iter_mut().zip(batch.iter()) {
-                slot.assign(&self.input_shape, &transition.next_state);
+            for (slot, transition) in self.next_batch.iter_mut().zip(batch.clone()) {
+                slot.assign(&self.input_shape, transition.next_state);
             }
             self.target.forward_batch_into_cfg(
                 &self.next_batch,
@@ -374,7 +384,7 @@ impl DqnAgent {
             actions
         };
 
-        for (row, transition) in batch.iter().enumerate() {
+        for (row, transition) in batch.enumerate() {
             let target_value = if transition.terminal {
                 transition.reward
             } else {
@@ -385,7 +395,7 @@ impl DqnAgent {
                     // target's evaluation was batched above, which also
                     // removes the duplicate next-state pass the serial code
                     // paid per transition.
-                    self.state_buf.assign(&self.input_shape, &transition.next_state);
+                    self.state_buf.assign(&self.input_shape, transition.next_state);
                     let best = argmax(self.online.forward_scratch_cfg(
                         &self.state_buf,
                         &mut self.scratch,
@@ -398,14 +408,14 @@ impl DqnAgent {
                 };
                 transition.reward + self.config.gamma * bootstrap
             };
-            self.state_buf.assign(&self.input_shape, &transition.state);
-            self.online.forward_traced_into(&self.state_buf, &mut self.trace);
+            self.state_buf.assign(&self.input_shape, transition.state);
+            self.online.forward_traced_into(&self.state_buf, &mut self.trace, self.engine);
             let output = self.trace.output().data();
             let error = (output[transition.action] - target_value).clamp(-1.0, 1.0);
             self.grad.clear();
             self.grad.resize(output.len(), 0.0);
             self.grad[transition.action] = 2.0 * error;
-            self.online.backward_tail(&self.trace, &self.grad, lr, self.config.trainable_from);
+            self.online.backward_tail(&mut self.trace, &self.grad, lr, self.config.trainable_from);
         }
     }
 

@@ -284,8 +284,8 @@ where
     let corrupted = corrupt_policy_weights(network, fault);
     let num_states = env.num_states();
 
-    // Serial reference path: one row per pass under an explicit default
-    // engine config (never the deprecated process-wide kernel knobs).
+    // Serial reference path: one row per pass under the default engine
+    // config.
     let engine = EngineConfig::default();
     let mut scratch = Scratch::new();
     let mut encoded = W::input_buffer(&[num_states], network);

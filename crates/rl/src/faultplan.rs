@@ -126,17 +126,18 @@ impl FaultPlan {
         network: &mut NetworkBase<E>,
         enforce_only: bool,
     ) {
-        let spans: Vec<(usize, std::ops::Range<usize>)> =
-            network.parametric_layers().into_iter().map(|i| (i, network.weight_span(i))).collect();
-        for (layer, span) in spans {
-            if let Some(weights) = network.layer_weights_mut(layer) {
-                if enforce_only {
-                    injector.enforce_span(span.start, weights);
-                } else {
-                    injector.corrupt_span(span.start, weights);
-                }
+        // A running offset walks the concatenated weight buffer in layer
+        // order, so each layer's span start costs nothing to find and the
+        // re-enforcement after every learning step allocates nothing.
+        let mut start = 0;
+        network.for_each_weight_buffer(|_, weights| {
+            if enforce_only {
+                injector.enforce_span(start, weights);
+            } else {
+                injector.corrupt_span(start, weights);
             }
-        }
+            start += weights.len();
+        });
     }
 }
 

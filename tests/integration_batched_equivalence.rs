@@ -10,7 +10,10 @@
 
 use navft_core::{BufferFaultHook, HookPersistence, HookTarget};
 use navft_fault::FaultKind;
-use navft_nn::{mlp, C3f2Config, Network, NoHooks, PerRowHooks, RangeRecorder, Scratch, Tensor};
+use navft_nn::{
+    mlp, C3f2Config, EngineConfig, ForwardTrace, Network, NoHooks, PerRowHooks, RangeRecorder,
+    Scratch, Tensor,
+};
 use navft_qformat::QFormat;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -196,6 +199,31 @@ fn forward_scratch_matches_forward_for_every_model() {
         let input = batch_inputs(&shape, 1, 0xF00D).pop().expect("one input");
         let via_scratch = net.forward_scratch(&input, &mut scratch, &mut NoHooks).to_vec();
         assert_eq!(via_scratch, net.forward(&input).into_data(), "{name} scratch path diverged");
+    }
+}
+
+#[test]
+fn forward_traced_matches_the_naive_per_layer_chain_for_every_model() {
+    // The traced pass of the DQN learning step runs one row of the blocked
+    // engine; every recorded activation must equal the naive per-layer
+    // kernels bit for bit. It records float values: on the model with an
+    // activation format set, nothing is quantized. One trace serves every
+    // model and input, so refills must not leak state between topologies.
+    let mut trace = ForwardTrace::new();
+    for (name, net, shape, _) in models() {
+        for input in batch_inputs(&shape, 2, 0x7ACE) {
+            net.forward_traced_into(&input, &mut trace, EngineConfig::default());
+            let mut expected = input.clone();
+            assert_eq!(trace.values.len(), net.num_layers() + 1, "{name}");
+            assert_eq!(trace.values[0], expected, "{name} input");
+            for (i, layer) in net.layers().iter().enumerate() {
+                expected = layer.forward(&expected);
+                let got = &trace.values[i + 1];
+                assert_eq!(got.shape(), expected.shape(), "{name} layer {i} shape");
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&expected), "{name} layer {i} diverged");
+            }
+        }
     }
 }
 
